@@ -39,7 +39,6 @@ from repro.core.warplda import WarpLDA
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.distributed.scaling import THREAD_SCALING_MODEL
 from repro.kernels import corpus_buckets
-from repro.kernels.jit import jit_available
 from repro.kernels.warp import document_phase, word_phase
 
 REPO_ROOT = _harness.REPO_ROOT
@@ -221,8 +220,7 @@ def main(argv=None) -> int:
         f"corpus: {corpus.num_documents} docs, {corpus.num_tokens} tokens, "
         f"V={corpus.vocabulary_size}; K={args.topics}, "
         f"{args.iterations} iterations, threads {args.threads}, "
-        f"cores {_harness.environment()['cpu_logical']}, "
-        f"jit {'available' if jit_available() else 'unavailable'}"
+        f"cores {_harness.environment()['cpu_logical']}"
     )
 
     # ---------------------------------------------------------------- #

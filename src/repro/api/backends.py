@@ -187,6 +187,31 @@ class ParallelBackend(Backend):
             backend=options.get("backend", "process"),
         )
 
+    def resume(self, spec: "ModelSpec", corpus: Any, directory: Any) -> Any:
+        """Restore the trainer checkpointed in ``directory``, bit-exactly.
+
+        The checkpoint's :class:`~repro.training.parallel.TrainerConfig` and
+        worker count decide the run, so ``spec`` must lower to exactly those;
+        any difference raises ``ValueError`` naming the field.  The spec's
+        seed plays no part: the checkpoint carries its own RNG streams.
+        """
+        from repro.training.checkpoint import Checkpoint
+
+        checkpoint = Checkpoint.load(directory)
+        options = spec.backend_options
+        requested = dict(
+            self.lower(spec).to_dict(), num_workers=options.get("num_workers", 2)
+        )
+        saved = dict(checkpoint.config.to_dict(), num_workers=checkpoint.num_workers)
+        for name, value in saved.items():
+            if requested[name] != value:
+                raise ValueError(
+                    f"cannot resume from {directory}: the spec gives "
+                    f"{name}={requested[name]!r} but the checkpoint was "
+                    f"trained with {name}={value!r}"
+                )
+        return checkpoint.restore(corpus, backend=options.get("backend", "process"))
+
 
 class OnlineBackend(Backend):
     """Streaming updates on an :class:`~repro.streaming.online.OnlineTrainer`.

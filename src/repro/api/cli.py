@@ -12,6 +12,18 @@ Four subcommands ride the :class:`~repro.api.estimator.LDA` facade:
         python -m repro train --preset nytimes_like --scale 0.1 \\
             --backend parallel --workers 4 --iterations 50 --seed 0
 
+    On the parallel backend ``--checkpoint-dir`` writes resumable
+    checkpoints (every ``--checkpoint-every`` epochs and after the last);
+    ``--resume`` continues that run for ``--iterations`` more epochs,
+    bit-identically to a run that never stopped.  The resuming spec must
+    match the checkpoint's (pass the first run's ``--spec-out`` file)::
+
+        python -m repro train --preset nytimes_like --scale 0.1 \\
+            --backend parallel --iterations 20 --seed 0 \\
+            --checkpoint-dir ckpt --checkpoint-every 5 --spec-out spec.json
+        python -m repro train --preset nytimes_like --scale 0.1 \\
+            --spec spec.json --iterations 10 --checkpoint-dir ckpt --resume
+
 ``stream``
     Replay any corpus source as a document stream through the online
     backend (sliding-window updates, registry publishes)::
@@ -173,7 +185,7 @@ def _add_spec_arguments(
     model.add_argument("--alpha", type=float, help="doc Dirichlet (default 50/K)")
     model.add_argument("--beta", type=float, help="word Dirichlet (default 0.01)")
     model.add_argument("--mh-steps", type=int, help="MH proposals per token")
-    model.add_argument("--kernel", choices=("slab", "scalar", "jit"))
+    model.add_argument("--kernel", choices=("slab", "scalar"))
     model.add_argument(
         "--threads",
         type=int,
@@ -320,13 +332,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     started = time.perf_counter()
     with LDA(spec) as model:
-        model.fit(corpus, num_iterations=args.iterations)
+        try:
+            model.fit(
+                corpus,
+                num_iterations=args.iterations,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+                resume=args.resume,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
         elapsed = time.perf_counter() - started
         engine = model.model
+        if args.resume:
+            print(
+                f"resumed from {args.checkpoint_dir} at epoch "
+                f"{engine.provenance['resumed_at_epoch']}"
+            )
         print(
             f"log_likelihood {engine.log_likelihood():.1f}  "
             f"elapsed {elapsed:.2f}s"
         )
+        if args.checkpoint_dir is not None and args.iterations > 0:
+            print(
+                f"checkpoint written to {args.checkpoint_dir} at epoch "
+                f"{engine.epochs_completed}"
+            )
         for index, topic in enumerate(model.top_topics(args.top_words)):
             rendered = " ".join(word for word, _ in topic)
             print(f"topic {index:3d}  {rendered}")
@@ -345,45 +376,44 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"vocabulary {corpus.vocabulary_size} (replayed as a stream)"
     )
     started = time.perf_counter()
-    model = LDA(spec)
-    if args.registry_dir is not None:
-        from repro.streaming.registry import ModelRegistry
+    with LDA(spec) as model:
+        if args.registry_dir is not None:
+            from repro.streaming.registry import ModelRegistry
 
-        model.use_registry(ModelRegistry(directory=args.registry_dir))
-    for batch in iter_token_batches(corpus, model.batch_docs):
-        report = model.partial_fit(batch)
-        update = report.update
-        published = (
-            f"published v{report.published.version}" if report.published else "-"
-        )
+            model.use_registry(ModelRegistry(directory=args.registry_dir))
+        for batch in iter_token_batches(corpus, model.batch_docs):
+            report = model.partial_fit(batch)
+            update = report.update
+            published = (
+                f"published v{report.published.version}" if report.published else "-"
+            )
+            print(
+                f"batch {update.batch_index:4d}  docs {update.documents_added:4d}  "
+                f"window {update.window_documents:5d}  V {update.vocabulary_size:6d}  "
+                f"{published}  {update.train_seconds * 1e3:7.1f} ms"
+            )
+        elapsed = time.perf_counter() - started
+        trainer = model.model
+        docs_per_s = trainer.documents_ingested / elapsed if elapsed > 0 else 0.0
         print(
-            f"batch {update.batch_index:4d}  docs {update.documents_added:4d}  "
-            f"window {update.window_documents:5d}  V {update.vocabulary_size:6d}  "
-            f"{published}  {update.train_seconds * 1e3:7.1f} ms"
+            f"ingested {trainer.documents_ingested} documents / "
+            f"{trainer.tokens_ingested} tokens in {elapsed:.2f}s "
+            f"({docs_per_s:.1f} docs/s)"
         )
-    elapsed = time.perf_counter() - started
-    trainer = model.model
-    docs_per_s = trainer.documents_ingested / elapsed if elapsed > 0 else 0.0
-    print(
-        f"ingested {trainer.documents_ingested} documents / "
-        f"{trainer.tokens_ingested} tokens in {elapsed:.2f}s "
-        f"({docs_per_s:.1f} docs/s)"
-    )
-    registry = model.registry
-    if registry.current_version is None:
-        print("no version published before the stream ended")
-    else:
-        print(
-            f"registry versions {registry.versions()} "
-            f"(current v{registry.current_version})"
-        )
-    if args.registry_dir is not None:
-        print(f"registry persisted to {args.registry_dir}")
-    if args.snapshot_out is not None:
-        written = model.save(args.snapshot_out)
-        print(f"serving snapshot written to {written}")
-    _print_run_report(model)
-    model.close()
+        registry = model.registry
+        if registry.current_version is None:
+            print("no version published before the stream ended")
+        else:
+            print(
+                f"registry versions {registry.versions()} "
+                f"(current v{registry.current_version})"
+            )
+        if args.registry_dir is not None:
+            print(f"registry persisted to {args.registry_dir}")
+        if args.snapshot_out is not None:
+            written = model.save(args.snapshot_out)
+            print(f"serving snapshot written to {written}")
+        _print_run_report(model)
     return 0
 
 
@@ -538,6 +568,23 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--top-words", type=int, default=8, help="words shown per topic")
     train.add_argument(
         "--snapshot-out", type=Path, help="write the serving snapshot here"
+    )
+    train.add_argument(
+        "--checkpoint-dir",
+        type=Path,
+        help="[parallel] write resumable checkpoints here",
+    )
+    train.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        help="[parallel] epochs between checkpoints (0 = after the last only)",
+    )
+    train.add_argument(
+        "--resume",
+        action="store_true",
+        help="[parallel] continue the run checkpointed in --checkpoint-dir; "
+        "the spec must match the checkpoint's",
     )
     train.set_defaults(func=_cmd_train)
 

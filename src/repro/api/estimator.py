@@ -46,9 +46,10 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
-from repro.api.backends import get_backend
+from repro.api.backends import ParallelBackend, get_backend
 from repro.api.spec import SPEC_METADATA_KEY, ModelSpec
 
 if TYPE_CHECKING:  # heavy layers stay lazy at runtime (PR 5 guarantee)
@@ -232,6 +233,9 @@ class LDA:
         corpus: Union["Corpus", str, Path],
         num_iterations: int = 50,
         tracker: Optional[Any] = None,
+        checkpoint_dir: Optional[Union[str, Path]] = None,
+        checkpoint_every: int = 0,
+        resume: bool = False,
     ) -> "LDA":
         """Train on a frozen corpus.
 
@@ -250,8 +254,24 @@ class LDA:
         fully materialising.  A path is reopened on every call, so repeated
         ``fit`` calls that should continue one chain should open the store
         once and pass the :class:`~repro.corpus.store.MappedCorpus`.
+
+        On ``parallel`` only, ``checkpoint_dir`` writes a resumable
+        :class:`~repro.training.checkpoint.Checkpoint` there every
+        ``checkpoint_every`` epochs and after the last one (``0``: last
+        only).  ``resume=True`` first restores the trainer checkpointed in
+        ``checkpoint_dir`` — the spec must lower to the checkpoint's trainer
+        config and worker count, else ``ValueError`` — and then runs
+        ``num_iterations`` more epochs, continuing the epoch count; the
+        result is bit-identical to a run that never stopped.
         """
         self._check_open()
+        if checkpoint_dir is None and (resume or checkpoint_every):
+            raise ValueError("resume and checkpoint_every need a checkpoint_dir")
+        if checkpoint_dir is not None and self.spec.backend != "parallel":
+            raise ValueError(
+                f"checkpointing requires backend='parallel', this spec uses "
+                f"{self.spec.backend!r}"
+            )
         if isinstance(corpus, (str, Path)):
             from repro.corpus.store import open_store
 
@@ -260,14 +280,23 @@ class LDA:
             for batch in iter_token_batches(corpus, self.batch_docs):
                 self.partial_fit(batch)
             return self
-        if self._model is None or self._fit_corpus is not corpus:
+        if resume or self._model is None or self._fit_corpus is not corpus:
             if self._model is not None:
                 self.close_model()
-            self._model = self._backend.build(self.spec, corpus)
+            if resume:
+                backend = cast(ParallelBackend, self._backend)
+                self._model = backend.resume(self.spec, corpus, checkpoint_dir)
+            else:
+                self._model = self._backend.build(self.spec, corpus)
             self._fit_corpus = corpus
         with self._activate():
             if self.spec.backend == "parallel":
-                self._model.train(num_iterations, tracker=tracker)
+                self._model.train(
+                    num_iterations,
+                    tracker=tracker,
+                    checkpoint_dir=checkpoint_dir,
+                    checkpoint_every=checkpoint_every,
+                )
             else:
                 self._model.fit(num_iterations, tracker=tracker)
         self._mark_trained()
@@ -349,10 +378,10 @@ class LDA:
         without a slab path — the rule every backend's builder applies)."""
         if self.spec.algorithm == "warplda":
             return self.spec.kernel
+        from repro.samplers.base import resolve_kernel
         from repro.samplers.registry import SAMPLER_REGISTRY
 
-        sampler_cls = SAMPLER_REGISTRY[self.spec.algorithm]
-        return self.spec.kernel if self.spec.kernel in sampler_cls.KERNELS else "scalar"
+        return resolve_kernel(SAMPLER_REGISTRY[self.spec.algorithm], self.spec.kernel)
 
     def _get_engine(
         self,

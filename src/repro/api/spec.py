@@ -66,9 +66,7 @@ class ModelSpec:
         MH proposals per token per phase (WarpLDA / LightLDA only; ignored
         by the exact samplers, like the constructors it lowers to).
     kernel:
-        ``"slab"`` (vectorised kernels), ``"scalar"`` (legacy loops) or
-        ``"jit"`` (WarpLDA's numba inner chains; silently identical to
-        ``"slab"`` when numba is unavailable).
+        ``"slab"`` (vectorised kernels) or ``"scalar"`` (legacy loops).
     threads:
         Worker threads for the slab kernels' bucket dispatch: a positive
         int, or ``None`` to defer to the ``REPRO_THREADS`` environment
@@ -135,9 +133,9 @@ class ModelSpec:
             raise ValueError(
                 f"num_mh_steps must be positive, got {self.num_mh_steps}"
             )
-        if self.kernel not in ("slab", "scalar", "jit"):
+        if self.kernel not in ("slab", "scalar"):
             raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
+                f"kernel must be 'slab' or 'scalar', got {self.kernel!r}"
             )
         if self.threads is not None:
             if isinstance(self.threads, bool) or not isinstance(

@@ -45,7 +45,6 @@ Implementation notes
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
@@ -134,13 +133,10 @@ class WarpLDAConfig:
         knob for the ablation benches.
     kernel:
         ``"slab"`` (the default: bucketed whole-bucket NumPy execution, see
-        :mod:`repro.kernels.warp`), ``"jit"`` (the slab path with the MH
-        inner chains compiled by numba when importable — bit-identical to
-        ``"slab"``, silently falling back to it without numba; see
-        :mod:`repro.kernels.jit`) or ``"scalar"`` (the legacy row-by-row
+        :mod:`repro.kernels.warp`) or ``"scalar"`` (the legacy row-by-row
         loop, kept as the correctness oracle).
     threads:
-        Worker threads for the slab/jit kernel phases (bucket chunks run
+        Worker threads for the slab kernel phases (bucket chunks run
         concurrently on :mod:`repro.kernels.pool`).  ``None`` defers to the
         ``REPRO_THREADS`` environment variable (default 1).  The trajectory
         is bit-identical for every thread count.
@@ -167,9 +163,9 @@ class WarpLDAConfig:
             raise ValueError(
                 f"doc_proposal must be 'mixture', got {self.doc_proposal!r}"
             )
-        if self.kernel not in ("slab", "scalar", "jit"):
+        if self.kernel not in ("slab", "scalar"):
             raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
+                f"kernel must be 'slab' or 'scalar', got {self.kernel!r}"
             )
         if self.threads is not None and self.threads <= 0:
             raise ValueError(f"threads must be positive, got {self.threads}")
@@ -183,24 +179,21 @@ class WarpLDA:
     corpus:
         Corpus to train on.
     num_topics:
-        Number of topics ``K`` (ignored if ``config`` is given).
+        Number of topics ``K``.
     num_mh_steps:
-        The paper's ``M`` (ignored if ``config`` is given).
+        The paper's ``M``.
     alpha, beta:
         Dirichlet hyper-parameters (see :class:`WarpLDAConfig`).
     word_proposal:
         Word-proposal strategy, ``"mixture"`` or ``"alias"``.
     kernel:
-        Execution path: ``"slab"`` (default), ``"jit"`` or ``"scalar"``
+        Execution path: ``"slab"`` (default) or ``"scalar"``
         (see :class:`WarpLDAConfig`).
     threads:
-        Worker threads for the slab/jit phases; ``None`` defers to
+        Worker threads for the slab phases; ``None`` defers to
         ``REPRO_THREADS``.  Bit-identical results for every thread count.
     seed:
         Seed or generator controlling the full trajectory.
-    config:
-        A pre-built :class:`WarpLDAConfig`; overrides the individual keyword
-        arguments.
 
     Examples
     --------
@@ -224,26 +217,33 @@ class WarpLDA:
         kernel: str = "slab",
         threads: Optional[int] = None,
         seed: RngLike = None,
-        config: Optional[WarpLDAConfig] = None,
     ):
-        if config is None:
-            config = WarpLDAConfig(
-                num_topics=num_topics,
-                num_mh_steps=num_mh_steps,
-                alpha=alpha,
-                beta=beta,
-                word_proposal=word_proposal,
-                kernel=kernel,
-                threads=threads,
-            )
-        else:
-            warnings.warn(
-                "WarpLDA(config=...) is deprecated; declare the model with "
-                "repro.api.ModelSpec / repro.api.LDA, or use "
-                "WarpLDA.from_config(corpus, config, seed=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        config = WarpLDAConfig(
+            num_topics=num_topics,
+            num_mh_steps=num_mh_steps,
+            alpha=alpha,
+            beta=beta,
+            word_proposal=word_proposal,
+            kernel=kernel,
+            threads=threads,
+        )
+        self._setup(corpus, config, seed)
+
+    @classmethod
+    def from_config(
+        cls, corpus: Corpus, config: WarpLDAConfig, seed: RngLike = None
+    ) -> "WarpLDA":
+        """Build a sampler from a pre-validated :class:`WarpLDAConfig`.
+
+        This is the lowering target of :class:`repro.api.ModelSpec`; it
+        produces a sampler bit-identical to keyword construction with the
+        same settings and seed.
+        """
+        model = cls.__new__(cls)
+        model._setup(corpus, config, seed)
+        return model
+
+    def _setup(self, corpus: Corpus, config: WarpLDAConfig, seed: RngLike) -> None:
         self.config = config
         self.corpus = corpus
         self.num_topics = config.num_topics
@@ -284,20 +284,6 @@ class WarpLDA:
         # of silently corrupting a sibling task's reads.
         self._stale_topic_buffer = np.empty(self.num_topics, dtype=np.float64)
         self._external_topic_f64: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_config(
-        cls, corpus: Corpus, config: WarpLDAConfig, seed: RngLike = None
-    ) -> "WarpLDA":
-        """Build a sampler from a pre-validated :class:`WarpLDAConfig`.
-
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``WarpLDA(config=...)`` spelling); the
-        two produce bit-identical samplers for the same config and seed.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(corpus, seed=seed, config=config)
 
     # ------------------------------------------------------------------ #
     # Training loop
@@ -611,7 +597,6 @@ class WarpLDA:
             external_word_topic=self._external_word_topic,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.config.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 
@@ -631,7 +616,6 @@ class WarpLDA:
             alpha_alias=self._alpha_alias,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.config.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 

@@ -31,11 +31,6 @@ phase RNG (:func:`repro.kernels.pool.spawn_task_rngs`), so the result is
 bit-identical for every thread count — ``threads=1`` simply runs the same
 tasks inline.  The chunk list is a pure function of the corpus, ``K`` and
 ``max_cells``; it never depends on the thread count.
-
-When ``use_jit=True`` and numba is importable (:mod:`repro.kernels.jit`),
-the per-chunk MH chain runs as one compiled ``nogil`` loop consuming the
-same pre-drawn uniforms — bit-identical to the NumPy chain, silently falling
-back to it when numba is absent.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ import numpy as np
 from repro.kernels import pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, SlabBucket
 from repro.kernels.draws import row_categorical_matrix
-from repro.kernels.jit import jit_mh_chain
 from repro.sampling.alias import AliasTable
 
 __all__ = ["document_phase", "word_phase"]
@@ -150,46 +144,6 @@ def _run_chain(
     return current
 
 
-def _run_chain_jit(
-    compiled,
-    current: np.ndarray,
-    proposals: np.ndarray,
-    tokens: np.ndarray,
-    mask: np.ndarray,
-    row_counts: np.ndarray,
-    prior_per_topic: np.ndarray,
-    stale_topic_counts: np.ndarray,
-    beta_sum: float,
-    num_mh_steps: int,
-    rng: np.random.Generator,
-    chain_stats: Optional[dict] = None,
-) -> np.ndarray:
-    """Run the compiled chain on one chunk; ``current`` is modified in place.
-
-    Draws the uniforms exactly as :func:`_run_chain` does — before the chain,
-    with the same shape, from the same per-task generator — so the compiled
-    path is bit-identical to the NumPy path for the same decomposition.
-    When ``chain_stats`` is given its proposed/accepted tallies are
-    accumulated in place, like the NumPy path's.
-    """
-    uniforms = rng.random((num_mh_steps,) + current.shape)
-    accepted = compiled(
-        current,
-        proposals,
-        np.ascontiguousarray(tokens),
-        np.ascontiguousarray(mask),
-        row_counts,
-        prior_per_topic,
-        np.ascontiguousarray(stale_topic_counts),
-        float(beta_sum),
-        uniforms,
-    )
-    if chain_stats is not None:
-        chain_stats["proposed"] += int(np.count_nonzero(mask)) * num_mh_steps
-        chain_stats["accepted"] += int(accepted)
-    return current
-
-
 def _word_chunk(
     assignments: np.ndarray,
     proposals: np.ndarray,
@@ -203,7 +157,6 @@ def _word_chunk(
     exact: bool,
     external_word_topic: Optional[np.ndarray],
     chain_stats: Optional[dict],
-    compiled,
 ) -> None:
     """Word-phase body for one bucket chunk (one pool task).
 
@@ -217,37 +170,20 @@ def _word_chunk(
     if external_word_topic is not None:
         word_counts += external_word_topic[chunk.rows]
 
-    if compiled is not None:
-        prior = np.full(num_topics, beta, dtype=np.float64)
-        current = _run_chain_jit(
-            compiled,
-            current,
-            proposals,
-            tokens,
-            mask,
-            word_counts,
-            prior,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            chain_stats=chain_stats,
-        )
-    else:
-        current = _run_chain(
-            current,
-            proposals,
-            tokens,
-            mask,
-            word_counts,
-            beta,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            prior_proposed_of=lambda proposed: beta,
-            chain_stats=chain_stats,
-        )
+    current = _run_chain(
+        current,
+        proposals,
+        tokens,
+        mask,
+        word_counts,
+        beta,
+        stale_topic_counts,
+        beta_sum,
+        num_mh_steps,
+        rng,
+        prior_proposed_of=lambda proposed: beta,
+        chain_stats=chain_stats,
+    )
     assignments[tokens[mask]] = current[mask]
 
     # Fresh c_w for the proposal distribution (Alg. 2 recomputes it
@@ -289,7 +225,6 @@ def word_phase(
     external_word_topic: Optional[np.ndarray] = None,
     chain_stats: Optional[dict] = None,
     threads: Optional[int] = None,
-    use_jit: bool = False,
     max_cells: Optional[int] = None,
 ) -> None:
     """Word phase over word-axis buckets: accept doc proposals, draw word proposals.
@@ -304,8 +239,7 @@ def word_phase(
     Bucket chunks run as independent tasks on :mod:`repro.kernels.pool`
     (``threads`` per :func:`repro.kernels.pool.resolve_threads`), each with
     its own RNG stream spawned from ``rng`` — one main-stream draw per phase,
-    so the trajectory is bit-identical for every thread count.  ``use_jit``
-    swaps in the compiled chain of :mod:`repro.kernels.jit` when available;
+    so the trajectory is bit-identical for every thread count.
     ``max_cells`` overrides the per-chunk working-set budget
     (:data:`~repro.kernels.buckets.MAX_SLAB_CELLS`).
     """
@@ -313,7 +247,6 @@ def word_phase(
     chunks = _phase_chunks(buckets, num_topics, max_cells)
     if not chunks:
         return
-    compiled = jit_mh_chain() if use_jit else None
     task_rngs = pool.spawn_task_rngs(rng, len(chunks))
     per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
     tasks = [
@@ -331,7 +264,6 @@ def word_phase(
             exact,
             external_word_topic,
             per_task[index] if chain_stats is not None else None,
-            compiled,
         )
         for index, chunk in enumerate(chunks)
     ]
@@ -352,7 +284,6 @@ def _document_chunk(
     rng: np.random.Generator,
     alpha_alias: Optional[AliasTable],
     chain_stats: Optional[dict],
-    compiled,
 ) -> None:
     """Document-phase body for one bucket chunk (one pool task).
 
@@ -364,36 +295,20 @@ def _document_chunk(
     current = assignments[tokens]
     doc_counts = _row_counts(current, mask, num_topics)
 
-    if compiled is not None:
-        current = _run_chain_jit(
-            compiled,
-            current,
-            proposals,
-            tokens,
-            mask,
-            doc_counts,
-            alpha,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            chain_stats=chain_stats,
-        )
-    else:
-        current = _run_chain(
-            current,
-            proposals,
-            tokens,
-            mask,
-            doc_counts,
-            alpha[current],
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            prior_proposed_of=lambda proposed: alpha[proposed],
-            chain_stats=chain_stats,
-        )
+    current = _run_chain(
+        current,
+        proposals,
+        tokens,
+        mask,
+        doc_counts,
+        alpha[current],
+        stale_topic_counts,
+        beta_sum,
+        num_mh_steps,
+        rng,
+        prior_proposed_of=lambda proposed: alpha[proposed],
+        chain_stats=chain_stats,
+    )
     assignments[tokens[mask]] = current[mask]
 
     flat_tokens = tokens[mask]
@@ -424,7 +339,6 @@ def document_phase(
     alpha_alias: Optional[AliasTable] = None,
     chain_stats: Optional[dict] = None,
     threads: Optional[int] = None,
-    use_jit: bool = False,
     max_cells: Optional[int] = None,
 ) -> None:
     """Document phase over doc-axis buckets: accept word proposals, draw doc proposals.
@@ -435,13 +349,12 @@ def document_phase(
     Like :func:`word_phase`, mutates ``assignments`` and ``proposals`` in
     place (accepted moves and freshly drawn doc-phase proposals), dispatches
     bucket chunks through :mod:`repro.kernels.pool` with per-task RNG
-    streams, and honours the same ``threads``/``use_jit``/``max_cells``
+    streams, and honours the same ``threads``/``max_cells``
     knobs with the same bit-exact determinism contract.
     """
     chunks = _phase_chunks(buckets, num_topics, max_cells)
     if not chunks:
         return
-    compiled = jit_mh_chain() if use_jit else None
     task_rngs = pool.spawn_task_rngs(rng, len(chunks))
     per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
     tasks = [
@@ -459,7 +372,6 @@ def document_phase(
             task_rngs[index],
             alpha_alias,
             per_task[index] if chain_stats is not None else None,
-            compiled,
         )
         for index, chunk in enumerate(chunks)
     ]

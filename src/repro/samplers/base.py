@@ -39,20 +39,14 @@ __all__ = [
 def resolve_kernel(sampler_cls: type, kernel: str) -> str:
     """Best supported execution path for ``kernel`` on ``sampler_cls``.
 
-    The degradation order mirrors the kernels' capability ladder:
-    a requested path the sampler implements is used as-is; ``"jit"`` (the
-    WarpLDA-only compiled tier) degrades to ``"slab"`` where available; and
-    anything else degrades to ``"scalar"``, which every sampler implements.
-    This keeps one config (``TrainerConfig``/``ModelSpec``) valid across
-    samplers with different kernel support instead of erroring midway
-    through construction.
+    A requested path the sampler implements is used as-is; anything else
+    degrades to ``"scalar"``, which every sampler implements.  This keeps one
+    config (``TrainerConfig``/``ModelSpec``) valid across samplers with
+    different kernel support instead of erroring midway through
+    construction.
     """
     kernels = getattr(sampler_cls, "KERNELS", ("scalar",))
-    if kernel in kernels:
-        return kernel
-    if "slab" in kernels:
-        return "slab"
-    return "scalar"
+    return kernel if kernel in kernels else "scalar"
 
 
 def resolve_hyperparameters(

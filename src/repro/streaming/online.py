@@ -32,7 +32,6 @@ unchanged.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
@@ -72,9 +71,8 @@ class OnlineTrainerConfig:
         Defaults to ``"cgs"`` — the exact-enumeration sampler mixes fastest
         per sweep, which matters when each batch only gets a few sweeps.
     kernel:
-        ``"slab"`` (vectorised kernels, default), ``"scalar"``, or ``"jit"``
-        (WarpLDA only; falls back to slab without numba); samplers without a
-        slab path fall back to scalar automatically.
+        ``"slab"`` (vectorised kernels, default) or ``"scalar"``; samplers
+        without a slab path fall back to scalar automatically.
     threads:
         Worker threads for the slab kernels' bucket dispatch; ``None`` defers
         to the ``REPRO_THREADS`` environment variable (default 1).  Results
@@ -125,9 +123,9 @@ class OnlineTrainerConfig:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.num_mh_steps <= 0:
             raise ValueError(f"num_mh_steps must be positive, got {self.num_mh_steps}")
-        if self.kernel not in ("slab", "scalar", "jit"):
+        if self.kernel not in ("slab", "scalar"):
             raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
+                f"kernel must be 'slab' or 'scalar', got {self.kernel!r}"
             )
         if self.threads is not None and self.threads <= 0:
             raise ValueError(f"threads must be positive, got {self.threads}")
@@ -162,8 +160,9 @@ class OnlineTrainer:
 
     Parameters
     ----------
-    config:
-        An :class:`OnlineTrainerConfig`; overridden by keyword arguments.
+    num_topics, alpha, beta, sampler, kernel, threads, window_docs, ...:
+        Forwarded to :class:`OnlineTrainerConfig`; :meth:`from_config` takes
+        a pre-built one instead.
     vocabulary:
         The (growing) vocabulary the stream encodes against; a fresh one is
         created when omitted.  Ignored when ``corpus`` is given.
@@ -187,24 +186,38 @@ class OnlineTrainer:
 
     def __init__(
         self,
-        config: Optional[OnlineTrainerConfig] = None,
         vocabulary: Optional[Vocabulary] = None,
         corpus: Optional[StreamingCorpus] = None,
         seed: RngLike = None,
         **config_kwargs: Any,
     ) -> None:
-        if config is None:
-            config = OnlineTrainerConfig(**config_kwargs)
-        else:
-            if config_kwargs:
-                raise ValueError("pass either config or keyword arguments, not both")
-            warnings.warn(
-                "OnlineTrainer(config=...) is deprecated; declare the model "
-                "with repro.api.ModelSpec / repro.api.LDA, or use "
-                "OnlineTrainer.from_config(config, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        self._setup(OnlineTrainerConfig(**config_kwargs), vocabulary, corpus, seed)
+
+    @classmethod
+    def from_config(
+        cls,
+        config: OnlineTrainerConfig,
+        vocabulary: Optional[Vocabulary] = None,
+        corpus: Optional[StreamingCorpus] = None,
+        seed: RngLike = None,
+    ) -> "OnlineTrainer":
+        """Build a trainer from a pre-validated :class:`OnlineTrainerConfig`.
+
+        This is the lowering target of :class:`repro.api.ModelSpec`; it
+        produces a trainer bit-identical to keyword construction with the
+        same settings and seed.
+        """
+        trainer = cls.__new__(cls)
+        trainer._setup(config, vocabulary, corpus, seed)
+        return trainer
+
+    def _setup(
+        self,
+        config: OnlineTrainerConfig,
+        vocabulary: Optional[Vocabulary],
+        corpus: Optional[StreamingCorpus],
+        seed: RngLike,
+    ) -> None:
         if corpus is None:
             corpus = StreamingCorpus(vocabulary)
         elif corpus.num_documents:
@@ -230,25 +243,6 @@ class OnlineTrainer:
         self.documents_ingested = 0
         self.tokens_ingested = 0
         self.train_seconds = 0.0
-
-    @classmethod
-    def from_config(
-        cls,
-        config: OnlineTrainerConfig,
-        vocabulary: Optional[Vocabulary] = None,
-        corpus: Optional[StreamingCorpus] = None,
-        seed: RngLike = None,
-    ) -> "OnlineTrainer":
-        """Build a trainer from a pre-validated :class:`OnlineTrainerConfig`.
-
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``OnlineTrainer(config=...)``
-        spelling); the two produce bit-identical trainers for the same
-        config and seed.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(config=config, vocabulary=vocabulary, corpus=corpus, seed=seed)
 
     # ------------------------------------------------------------------ #
     # Internal state helpers

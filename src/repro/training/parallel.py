@@ -31,11 +31,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,11 +86,9 @@ class TrainerConfig:
         own delay); larger values trade staleness for fewer barriers.
     kernel:
         Execution path for every shard's sampler: ``"slab"`` (the vectorised
-        kernels of :mod:`repro.kernels`, the default), ``"jit"`` (WarpLDA's
-        compiled MH chains when numba is importable) or ``"scalar"`` (the
-        legacy per-row loops).  Samplers without the requested path degrade
-        along ``jit -> slab -> scalar`` automatically
-        (:func:`repro.samplers.base.resolve_kernel`).
+        kernels of :mod:`repro.kernels`, the default) or ``"scalar"`` (the
+        legacy per-row loops).  Samplers without a slab path fall back to
+        scalar automatically (:func:`repro.samplers.base.resolve_kernel`).
     threads:
         Worker threads for each shard's slab kernels (``None`` defers to
         ``REPRO_THREADS``).  Thread count never changes the trajectory.
@@ -125,9 +122,9 @@ class TrainerConfig:
             raise ValueError(
                 f"iterations_per_epoch must be positive, got {self.iterations_per_epoch}"
             )
-        if self.kernel not in ("slab", "scalar", "jit"):
+        if self.kernel not in ("slab", "scalar"):
             raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
+                f"kernel must be 'slab' or 'scalar', got {self.kernel!r}"
             )
         if self.threads is not None and self.threads <= 0:
             raise ValueError(f"threads must be positive, got {self.threads}")
@@ -180,7 +177,7 @@ class ShardRunner:
                 seed=rng,
             )
         else:
-            # Samplers without the requested path degrade jit -> slab -> scalar.
+            # Samplers without a slab path fall back to scalar.
             kernel = resolve_kernel(sampler_cls, config.kernel)
             kwargs: Dict[str, Any] = {
                 "alpha": config.alpha,
@@ -410,8 +407,6 @@ class ParallelTrainer:
         views of it.
     num_workers:
         Number of shards / worker processes.
-    config:
-        A :class:`TrainerConfig`; overrides the keyword arguments below.
     seed:
         Master seed; per-worker streams are derived with
         :func:`~repro.sampling.rng.spawn_rngs`, so a single seed makes the
@@ -421,7 +416,8 @@ class ParallelTrainer:
         ``"inline"`` (same protocol, master process only — for tests,
         debugging and single-core machines).
     sampler, num_topics, alpha, beta, num_mh_steps, iterations_per_epoch:
-        Forwarded to :class:`TrainerConfig` when ``config`` is omitted.
+        Forwarded to :class:`TrainerConfig` (as are ``kernel`` and
+        ``threads``); :meth:`from_config` takes a pre-built one instead.
 
     Examples
     --------
@@ -439,23 +435,39 @@ class ParallelTrainer:
         self,
         corpus: Corpus,
         num_workers: int = 2,
-        config: Optional[TrainerConfig] = None,
         seed: RngLike = None,
         backend: str = "process",
         **config_kwargs: Any,
     ) -> None:
-        if config is None:
-            config = TrainerConfig(**config_kwargs)
-        else:
-            if config_kwargs:
-                raise ValueError("pass either config or keyword arguments, not both")
-            warnings.warn(
-                "ParallelTrainer(config=...) is deprecated; declare the model "
-                "with repro.api.ModelSpec / repro.api.LDA, or use "
-                "ParallelTrainer.from_config(corpus, config, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        self._setup(corpus, TrainerConfig(**config_kwargs), num_workers, seed, backend)
+
+    @classmethod
+    def from_config(
+        cls,
+        corpus: Corpus,
+        config: TrainerConfig,
+        num_workers: int = 2,
+        seed: RngLike = None,
+        backend: str = "process",
+    ) -> "ParallelTrainer":
+        """Build a trainer from a pre-validated :class:`TrainerConfig`.
+
+        This is the lowering target of :class:`repro.api.ModelSpec`; it
+        produces a trainer bit-identical to keyword construction with the
+        same settings and seed.
+        """
+        trainer = cls.__new__(cls)
+        trainer._setup(corpus, config, num_workers, seed, backend)
+        return trainer
+
+    def _setup(
+        self,
+        corpus: Corpus,
+        config: TrainerConfig,
+        num_workers: int,
+        seed: RngLike,
+        backend: str,
+    ) -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         if backend not in BACKENDS:
@@ -508,32 +520,6 @@ class ParallelTrainer:
         #: Free-form resume provenance, merged into exported snapshot metadata
         #: (populated by Checkpoint.restore).
         self.provenance: Dict[str, Any] = {}
-
-    @classmethod
-    def from_config(
-        cls,
-        corpus: Corpus,
-        config: TrainerConfig,
-        num_workers: int = 2,
-        seed: RngLike = None,
-        backend: str = "process",
-    ) -> "ParallelTrainer":
-        """Build a trainer from a pre-validated :class:`TrainerConfig`.
-
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``ParallelTrainer(config=...)``
-        spelling); the two produce bit-identical trainers for the same
-        config and seed.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                corpus,
-                num_workers=num_workers,
-                config=config,
-                seed=seed,
-                backend=backend,
-            )
 
     # ------------------------------------------------------------------ #
     # Training
@@ -598,7 +584,6 @@ class ParallelTrainer:
         evaluate_every: int = 1,
         checkpoint_dir: Optional[Any] = None,
         checkpoint_every: int = 0,
-        on_epoch: Optional[Callable[["ParallelTrainer"], None]] = None,
     ) -> "ParallelTrainer":
         """Run ``num_epochs`` epochs, optionally tracking and checkpointing.
 
@@ -616,10 +601,6 @@ class ParallelTrainer:
             ``checkpoint_every`` epochs and after the final epoch.
         checkpoint_every:
             Checkpoint stride; ``0`` means only after the final epoch.
-        on_epoch:
-            Optional callback invoked with the trainer after every merged
-            epoch (before any checkpoint write) — progress printing for the
-            CLI, metric export, early-stopping hooks.
         """
         if num_epochs < 0:
             raise ValueError(f"num_epochs must be non-negative, got {num_epochs}")
@@ -640,8 +621,6 @@ class ParallelTrainer:
                     log_likelihood=self.log_likelihood(),
                     tokens_processed=iterations * self.corpus.num_tokens,
                 )
-            if on_epoch is not None:
-                on_epoch(self)
             due = checkpoint_every and (epoch + 1) % checkpoint_every == 0
             if checkpoint_dir is not None and (due or epoch == num_epochs - 1):
                 self.save_checkpoint(checkpoint_dir)

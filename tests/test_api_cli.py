@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import LDA, ModelSpec
-from repro.api.cli import build_parser, build_spec, main
+from repro.api.cli import build_parser, build_spec, corpus_from_args, main
+from repro.serving import ModelSnapshot
 
 
 def _run(capsys, *argv):
@@ -56,6 +56,15 @@ class TestSpecResolution:
         with pytest.raises(SystemExit, match="online"):
             build_spec(args)
 
+    def test_corpus_source_is_exclusive(self):
+        parser = build_parser()
+        args = parser.parse_args(["train", "--synthetic", "--preset", "nytimes_like"])
+        with pytest.raises(SystemExit, match="exactly one corpus source"):
+            corpus_from_args(args)
+        args = parser.parse_args(["train"])
+        with pytest.raises(SystemExit, match="exactly one corpus source"):
+            corpus_from_args(args)
+
     def test_spec_out_writes_resolved_spec(self, tmp_path, capsys):
         out = tmp_path / "resolved.json"
         code, _ = _run(
@@ -92,6 +101,26 @@ class TestTrain:
         assert code == 0
         assert "backend=parallel" in out
         assert "2 epochs" in out
+
+    def test_uci_corpus_source(self, tmp_path, capsys):
+        from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus, write_uci_bow
+
+        corpus = generate_lda_corpus(
+            SyntheticCorpusSpec(
+                num_documents=15, vocabulary_size=30, mean_document_length=10
+            ),
+            seed=0,
+        )
+        write_uci_bow(corpus, tmp_path / "docword.txt")
+        code, out = _run(
+            capsys,
+            "train", "--corpus", str(tmp_path / "docword.txt"),
+            "--topics", "3", "--iterations", "1", "--seed", "0",
+            "--backend", "parallel", "--workers", "2",
+            "--parallel-backend", "inline",
+        )
+        assert code == 0
+        assert f"corpus: 15 documents, {corpus.num_tokens} tokens" in out
 
     def test_online_backend_redirects_to_stream(self, capsys):
         with pytest.raises(SystemExit, match="stream"):
@@ -145,23 +174,97 @@ class TestStreamServeEval:
             )
 
 
-class TestEquivalenceWithLegacyCLI:
-    def test_new_and_legacy_cli_train_identical_models(self, tmp_path, capsys):
-        """`python -m repro train` == `python -m repro.train` seed-for-seed."""
-        from repro.train import main as legacy_main
+PARALLEL = [
+    *SYNTH, "--topics", "4", "--seed", "0", "--backend", "parallel",
+    "--workers", "2", "--parallel-backend", "inline",
+]
 
-        new_path = tmp_path / "new.npz"
-        legacy_path = tmp_path / "legacy.npz"
-        main(
-            ["train", *SYNTH, "--topics", "4", "--seed", "0",
-             "--backend", "parallel", "--workers", "2",
-             "--parallel-backend", "inline", "--iterations", "2",
-             "--snapshot-out", str(new_path)]
+
+class TestCheckpointResume:
+    """``train --checkpoint-dir/--checkpoint-every/--resume`` (parallel)."""
+
+    def test_train_writes_checkpoint_and_snapshot(self, tmp_path, capsys):
+        code, out = _run(
+            capsys,
+            "train", *PARALLEL, "--iterations", "2",
+            "--checkpoint-dir", str(tmp_path / "ckpt"), "--checkpoint-every", "1",
+            "--snapshot-out", str(tmp_path / "model.npz"),
         )
-        legacy_main(
-            [*SYNTH, "--topics", "4", "--seed", "0", "--workers", "2",
-             "--backend", "inline", "--epochs", "2",
-             "--snapshot-out", str(legacy_path)]
+        assert code == 0
+        assert (tmp_path / "ckpt" / "checkpoint.json").exists()
+        assert ModelSnapshot.load(tmp_path / "model.npz").num_topics == 4
+        assert "checkpoint written to" in out
+        assert "at epoch 2" in out
+
+    def test_resume_continues_from_checkpoint(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        _run(capsys, "train", *PARALLEL, "--iterations", "2", "--checkpoint-dir", ckpt)
+        code, out = _run(
+            capsys,
+            "train", *PARALLEL, "--iterations", "1",
+            "--checkpoint-dir", ckpt, "--resume",
+            "--snapshot-out", str(tmp_path / "model.npz"),
         )
-        capsys.readouterr()
-        assert new_path.read_bytes() == legacy_path.read_bytes()
+        assert code == 0
+        assert f"resumed from {ckpt} at epoch 2" in out
+        assert f"checkpoint written to {ckpt} at epoch 3" in out
+        assert ModelSnapshot.load(tmp_path / "model.npz").metadata["epochs"] == 3
+
+    def test_resumed_run_matches_straight_run(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        _run(
+            capsys, "train", *PARALLEL, "--iterations", "4",
+            "--snapshot-out", str(tmp_path / "straight.npz"),
+        )
+        _run(capsys, "train", *PARALLEL, "--iterations", "2", "--checkpoint-dir", ckpt)
+        _run(
+            capsys, "train", *PARALLEL, "--iterations", "2",
+            "--checkpoint-dir", ckpt, "--resume",
+            "--snapshot-out", str(tmp_path / "resumed.npz"),
+        )
+        straight = ModelSnapshot.load(tmp_path / "straight.npz")
+        resumed = ModelSnapshot.load(tmp_path / "resumed.npz")
+        assert straight.phi.tobytes() == resumed.phi.tobytes()
+
+    def test_resume_rejects_spec_that_disagrees(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        _run(capsys, "train", *PARALLEL, "--iterations", "1", "--checkpoint-dir", ckpt)
+        for override, field in (
+            (["--topics", "5"], "num_topics=5"),
+            (["--algorithm", "cgs"], "sampler='cgs'"),
+            (["--workers", "3"], "num_workers=3"),
+        ):
+            with pytest.raises(SystemExit, match=f"spec gives {field} but the checkpoint"):
+                main(
+                    ["train", *PARALLEL, *override, "--iterations", "1",
+                     "--checkpoint-dir", ckpt, "--resume"]
+                )
+
+    def test_resume_requires_checkpoint_dir(self, capsys):
+        with pytest.raises(SystemExit, match="checkpoint_dir"):
+            main(["train", *PARALLEL, "--resume"])
+
+    def test_checkpointing_requires_parallel_backend(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="backend='parallel'"):
+            main(["train", *SYNTH, "--checkpoint-dir", str(tmp_path / "ckpt")])
+
+
+class TestStreamTelemetry:
+    def test_failing_stream_still_writes_metrics(self, tmp_path, monkeypatch, capsys):
+        trace = tmp_path / "run.jsonl"
+        calls = []
+        original = LDA.partial_fit
+
+        def fail_after_one_batch(self, batch):
+            calls.append(batch)
+            if len(calls) > 1:
+                raise RuntimeError("stream source failed")
+            return original(self, batch)
+
+        monkeypatch.setattr(LDA, "partial_fit", fail_after_one_batch)
+        with pytest.raises(RuntimeError, match="stream source failed"):
+            main(
+                ["stream", *SYNTH, "--topics", "4", "--seed", "0",
+                 "--batch-docs", "10", "--telemetry", str(trace)]
+            )
+        assert trace.with_suffix(".metrics.json").exists()

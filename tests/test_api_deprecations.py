@@ -1,117 +1,13 @@
-"""Deprecation shims: warn at the old surface, produce bit-identical results."""
+"""Every configuration entry point validates its inputs the same way."""
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
 import pytest
 
+from repro.api import ModelSpec
 from repro.core.warplda import WarpLDA, WarpLDAConfig
-from repro.corpus.datasets import DATASET_PRESETS, load_preset
-from repro.corpus.synthetic import (
-    SyntheticCorpusSpec,
-    generate_lda_corpus,
-    generate_zipf_corpus,
-)
-from repro.streaming.online import OnlineTrainer, OnlineTrainerConfig
-from repro.training.parallel import ParallelTrainer, TrainerConfig
-
-
-def _same_corpus(a, b) -> bool:
-    return (
-        np.array_equal(a.token_words, b.token_words)
-        and np.array_equal(a.token_documents, b.token_documents)
-        and a.vocabulary == b.vocabulary
-    )
-
-
-class TestSeedAlias:
-    def test_load_preset_rng_warns_and_matches_seed(self):
-        with pytest.warns(DeprecationWarning, match="rng=.*deprecated"):
-            via_rng = load_preset("nytimes_like", scale=0.05, rng=0)
-        via_seed = load_preset("nytimes_like", scale=0.05, seed=0)
-        assert _same_corpus(via_rng, via_seed)
-
-    def test_generators_rng_warns_and_matches_seed(self):
-        spec = SyntheticCorpusSpec(
-            num_documents=10, vocabulary_size=30, mean_document_length=15
-        )
-        with pytest.warns(DeprecationWarning):
-            lda_rng = generate_lda_corpus(spec, rng=3)
-        assert _same_corpus(lda_rng, generate_lda_corpus(spec, seed=3))
-        with pytest.warns(DeprecationWarning):
-            zipf_rng = generate_zipf_corpus(spec, rng=3)
-        assert _same_corpus(zipf_rng, generate_zipf_corpus(spec, seed=3))
-
-    def test_preset_generate_rng_warns(self):
-        preset = DATASET_PRESETS["nytimes_like"]
-        with pytest.warns(DeprecationWarning):
-            via_rng = preset.generate(scale=0.05, rng=1)
-        assert _same_corpus(via_rng, preset.generate(scale=0.05, seed=1))
-
-    def test_both_seed_and_rng_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            load_preset("nytimes_like", scale=0.05, seed=0, rng=0)
-
-    def test_seed_spelling_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            load_preset("nytimes_like", scale=0.05, seed=0)
-
-
-class TestConfigConstructorShims:
-    def test_warplda_config_kwarg_warns_but_matches(self, small_corpus):
-        config = WarpLDAConfig(num_topics=5)
-        with pytest.warns(DeprecationWarning, match="WarpLDA\\(config=...\\)"):
-            deprecated = WarpLDA(small_corpus, config=config, seed=0).fit(3)
-        blessed = WarpLDA.from_config(small_corpus, config, seed=0).fit(3)
-        np.testing.assert_array_equal(deprecated.assignments, blessed.assignments)
-
-    def test_from_config_is_silent(self, small_corpus):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            WarpLDA.from_config(small_corpus, WarpLDAConfig(num_topics=5), seed=0)
-
-    def test_kwarg_construction_is_silent(self, small_corpus):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            WarpLDA(small_corpus, num_topics=5, seed=0)
-
-    def test_parallel_trainer_config_kwarg_warns_but_matches(self, small_corpus):
-        config = TrainerConfig(sampler="cgs", num_topics=4)
-        with pytest.warns(DeprecationWarning, match="ParallelTrainer\\(config=...\\)"):
-            with ParallelTrainer(
-                small_corpus, num_workers=2, config=config, seed=0, backend="inline"
-            ) as deprecated:
-                deprecated.train(2)
-                old = deprecated.assignments()
-        with ParallelTrainer.from_config(
-            small_corpus, config, num_workers=2, seed=0, backend="inline"
-        ) as blessed:
-            blessed.train(2)
-            np.testing.assert_array_equal(old, blessed.assignments())
-
-    def test_online_trainer_config_kwarg_warns_but_matches(self):
-        config = OnlineTrainerConfig(num_topics=3, window_docs=8)
-        docs = [["a", "b"], ["b", "c"], ["c", "a"]]
-        with pytest.warns(DeprecationWarning, match="OnlineTrainer\\(config=...\\)"):
-            deprecated = OnlineTrainer(config=config, seed=0)
-        vocab = deprecated.corpus.vocabulary
-        deprecated.ingest([vocab.encode(d, on_oov="add") for d in docs])
-
-        blessed = OnlineTrainer.from_config(config, seed=0)
-        vocab = blessed.corpus.vocabulary
-        blessed.ingest([vocab.encode(d, on_oov="add") for d in docs])
-        np.testing.assert_array_equal(deprecated.assignments, blessed.assignments)
-
-    def test_repro_train_module_warns_on_import(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.train", None)
-        with pytest.warns(DeprecationWarning, match="repro.train is deprecated"):
-            importlib.import_module("repro.train")
+from repro.streaming.online import OnlineTrainerConfig
+from repro.training.parallel import TrainerConfig
 
 
 class TestValidationConsistency:
@@ -138,8 +34,14 @@ class TestValidationConsistency:
         with pytest.raises(ValueError, match="alpha"):
             make(num_topics=5, alpha=-1.0)
 
+    @pytest.mark.parametrize("make", ENTRY_POINTS + (ModelSpec,))
+    def test_jit_kernel_rejected_everywhere(self, make):
+        # The compiled "jit" tier is gone; an old spec naming it fails validation
+        # instead of silently running another kernel.
+        with pytest.raises(ValueError, match="kernel must be 'slab' or 'scalar'"):
+            make(num_topics=5, kernel="jit")
+
     def test_samplers_reject_directly(self, small_corpus):
-        from repro.api import ModelSpec
         from repro.samplers.cgs import CollapsedGibbsSampler
 
         for build in (

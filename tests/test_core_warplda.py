@@ -27,12 +27,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             WarpLDAConfig(**kwargs)
 
-    def test_config_object_overrides_kwargs(self, tiny_corpus):
+    def test_from_config_uses_the_config(self, tiny_corpus):
         config = WarpLDAConfig(num_topics=7, num_mh_steps=3)
-        # Passing config= directly is deprecated in favour of from_config /
-        # repro.api, but must keep working (and still win over the kwargs).
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            model = WarpLDA(tiny_corpus, num_topics=2, config=config)
+        model = WarpLDA.from_config(tiny_corpus, config)
+        assert model.config is config
         assert model.num_topics == 7
         assert model.num_mh_steps == 3
 

@@ -16,7 +16,6 @@ import pytest
 from repro.core.warplda import WarpLDA
 from repro.kernels import pool
 from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.kernels.jit import jit_available
 from repro.kernels.light import delayed_cycle_sweep
 from repro.samplers import (
     AliasLDASampler,
@@ -212,36 +211,6 @@ class TestThreadCountDeterminism:
             states[threads] = sampler.state.assignments.copy()
         np.testing.assert_array_equal(states[2], states[1])
         np.testing.assert_array_equal(states[4], states[1])
-
-
-class TestJitTier:
-    def test_jit_kernel_validates(self, small_corpus):
-        model = WarpLDA(small_corpus, num_topics=5, seed=3, kernel="jit")
-        assert model.config.kernel == "jit"
-
-    def test_jit_falls_back_bit_identically_without_numba(self, small_corpus):
-        # Without numba the "jit" kernel silently runs the slab path —
-        # same decomposition, same RNG consumption, same trajectory.  (With
-        # numba present the compiled chain replays the NumPy chain exactly,
-        # so this equality holds either way.)
-        slab = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="slab"
-        ).fit(4)
-        jit = WarpLDA(small_corpus, num_topics=5, seed=3, kernel="jit").fit(4)
-        np.testing.assert_array_equal(jit.assignments, slab.assignments)
-        np.testing.assert_array_equal(jit.proposals, slab.proposals)
-
-    @pytest.mark.skipif(not jit_available(), reason="numba not installed")
-    def test_compiled_chain_matches_numpy_chain(self, small_corpus):
-        disabled = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="slab", threads=2
-        ).fit(4)
-        compiled = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="jit", threads=2
-        ).fit(4)
-        np.testing.assert_array_equal(
-            compiled.assignments, disabled.assignments
-        )
 
 
 # --------------------------------------------------------------------- #
