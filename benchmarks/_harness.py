@@ -45,15 +45,22 @@ def environment() -> Dict[str, Any]:
     """The toolchain + host stamp embedded in every benchmark record.
 
     Besides the package versions, records what the threaded kernel tier
-    depends on: logical core count and the ``REPRO_THREADS`` default in
-    effect — so a throughput shift seen by ``check_regression.py`` can be
-    attributed to the host or toolchain rather than a code change.
+    depends on: logical core count, the ``REPRO_THREADS`` default in effect
+    and whether the compiled WarpLDA chain loaded (``"loaded"``, else the
+    ``native.status()`` reason) — so a throughput shift seen by
+    ``check_regression.py`` can be attributed to the host or toolchain
+    rather than a code change.
     """
+    from repro.kernels import native
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_logical": os.cpu_count(),
         "repro_threads": os.environ.get("REPRO_THREADS"),
+        "native_kernels": (
+            "loaded" if native.library() is not None else native.status()
+        ),
     }
 
 

@@ -38,7 +38,7 @@ import _harness
 from repro.core.warplda import WarpLDA
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.distributed.scaling import THREAD_SCALING_MODEL
-from repro.kernels import corpus_buckets
+from repro.kernels import corpus_buckets, native
 from repro.kernels.warp import document_phase, word_phase
 
 REPO_ROOT = _harness.REPO_ROOT
@@ -131,20 +131,24 @@ def timed_fit(
     }
 
 
-def working_set_bytes(max_cells: int, num_topics: int, num_mh_steps: int) -> int:
+def working_set_bytes(
+    max_cells: int, num_topics: int, num_mh_steps: int, compiled: bool
+) -> int:
     """Estimated live bytes per chunk task for a given ``max_cells`` budget.
 
     Counts the chain state one task touches: current + proposal topics
-    (int64 each), the pre-drawn uniforms (float64 per MH step), the per-row
-    topic-count slab (``max_rows × K`` float64, with ``max_rows`` capped at
-    ``max_cells // K`` exactly as :func:`repro.kernels.warp._phase_chunks`
-    does), and the shared stale ``c_k`` vector.
+    (int64 each), the pre-drawn uniforms (float64 per MH step), the
+    topic counts — one K-length float64 scratch reused row by row in the
+    compiled chain, else the NumPy body's per-row slab (``max_rows × K``,
+    with ``max_rows`` capped at ``max_cells // K`` exactly as
+    :func:`repro.kernels.warp._phase_chunks` does) — and the shared stale
+    ``c_k`` vector.
     """
-    max_rows = max(1, max_cells // max(1, num_topics))
+    max_rows = 1 if compiled else max(1, max_cells // max(1, num_topics))
     return (
         max_cells * 8 * 2  # current + proposals
         + max_cells * 8 * num_mh_steps  # pre-drawn uniforms
-        + max_rows * num_topics * 8  # row-count slab
+        + max_rows * num_topics * 8  # row counts
         + num_topics * 8  # stale topic counts
     )
 
@@ -275,7 +279,7 @@ def main(argv=None) -> int:
         cache_analysis[f"cells_{max_cells}"] = {
             "max_cells": max_cells,
             "working_set_bytes": working_set_bytes(
-                max_cells, args.topics, 2
+                max_cells, args.topics, 2, native.library() is not None
             ),
             "tokens_per_sec": round(rate, 1),
         }

@@ -1,9 +1,8 @@
 """Kernel purity: :mod:`repro.kernels` functions are pure over their inputs.
 
-The kernel tier is the part of the codebase ROADMAP item 2 wants to run
-compiled and multi-threaded; that only stays safe if kernels never touch
-module-level mutable state and if every in-place output parameter is part
-of the documented contract:
+The kernel tier runs multi-threaded and, for WarpLDA's chain, compiled;
+that only stays safe if kernels never touch module-level mutable state
+and if every in-place output parameter is part of the documented contract:
 
 * ``KER001`` — no ``global`` statements, and no mutation of a module-level
   mutable binding (list/dict/set) from inside a kernel function;

@@ -23,9 +23,16 @@ Layout
     layout of a flat token batch and the random-positioning mixture proposal
     of the paper's Sec. 4.3.
 :mod:`~repro.kernels.warp`
-    WarpLDA's word and document phases (Alg. 2) over slab buckets: the MH
-    accept/reject chains of Eq. (7) and the proposal draws run as single
-    NumPy expressions per bucket.
+    WarpLDA's word and document phases (Alg. 2) over slab buckets: the
+    proposal draws run as single NumPy expressions per bucket chunk; the MH
+    accept/reject chains of Eq. (7) and the proposal scatter run in the
+    compiled chain when it is available, else as NumPy expressions too.
+:mod:`~repro.kernels.native`
+    The compiled chain: builds ``_warp.c`` on the first phase call into a
+    per-user cache, loads it with :mod:`ctypes` (GIL released per call)
+    and reports through ``status()`` why it is off when it is.  Both tiers
+    consume the same RNG stream and produce byte-identical results, so
+    there is no option selecting it.
 :mod:`~repro.kernels.cgs`
     The blocked dense collapsed-Gibbs kernel: the full conditional of Eq. (1)
     enumerated for a whole document block, sampled with one cumulative-sum

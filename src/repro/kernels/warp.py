@@ -31,6 +31,16 @@ phase RNG (:func:`repro.kernels.pool.spawn_task_rngs`), so the result is
 bit-identical for every thread count — ``threads=1`` simply runs the same
 tasks inline.  The chunk list is a pure function of the corpus, ``K`` and
 ``max_cells``; it never depends on the thread count.
+
+Compiled chain
+--------------
+When :mod:`repro.kernels.native` provides its library, each chunk's chain
+and proposal scatter run in C (``_warp.c``): one K-length count vector per
+row instead of the ``(R, K)`` histogram, the accept/reject of Eq. (7)
+element by element, the GIL released for the call.  A chunk makes the same
+NumPy RNG calls, in the same order and shapes, either way, and the C code
+repeats the NumPy arithmetic operation for operation, so the two tiers are
+byte-identical and the NumPy body below is the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.kernels import pool
+from repro.kernels import native, pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, SlabBucket
 from repro.kernels.draws import row_categorical_matrix
 from repro.sampling.alias import AliasTable
@@ -93,28 +103,63 @@ def _row_counts(
     return counts.reshape(num_rows, num_topics).astype(np.float64)
 
 
+def _compiled(
+    assignments: np.ndarray,
+    proposals: np.ndarray,
+    num_topics: int,
+    topic_vectors: tuple,
+    external_word_topic: Optional[np.ndarray] = None,
+):
+    """The compiled chain library, if this phase's arrays can go to it zero-copy.
+
+    ``None`` — run the NumPy slab body — when :mod:`repro.kernels.native`
+    has no library, when ``assignments``, ``proposals`` or
+    ``external_word_topic`` is not the writable, C-contiguous int64 buffer
+    the C code indexes directly, or when a K-indexed input
+    (``topic_vectors``, the external counts' columns) is not ``num_topics``
+    long — the C code checks topic ids only against ``num_topics``.
+    """
+    lib = native.library()
+    if lib is None:
+        return None
+    for array in (assignments, proposals, external_word_topic):
+        if array is not None and not (
+            array.dtype == np.int64 and array.flags.c_contiguous
+        ):
+            return None
+    if not (assignments.flags.writeable and proposals.flags.writeable):
+        return None
+    if proposals.ndim != 2 or proposals.shape[1] != assignments.size:
+        return None
+    shapes = [np.shape(vector) for vector in topic_vectors]
+    if external_word_topic is not None:
+        shapes.append(external_word_topic.shape[1:])
+    if any(shape != (num_topics,) for shape in shapes):
+        return None
+    return lib
+
+
 def _run_chain(
     current: np.ndarray,
     proposals: np.ndarray,
     tokens: np.ndarray,
     mask: np.ndarray,
     row_counts: np.ndarray,
-    row_prior_current: np.ndarray,
+    prior: Optional[np.ndarray],
+    prior_scalar: float,
     stale_topic_counts: np.ndarray,
     beta_sum: float,
-    num_mh_steps: int,
-    rng: np.random.Generator,
-    prior_proposed_of=None,
+    uniforms: np.ndarray,
     chain_stats: Optional[dict] = None,
 ) -> np.ndarray:
     """Accept/reject the ``M`` stored proposals for one bucket chunk.
 
     Implements Eq. (7): ``π = min{1, (C_rt + prior_t)(C_s + β̄) /
     ((C_rs + prior_s)(C_t + β̄))}`` with ``C_r`` the row's delayed counts and
-    ``C`` the phase-frozen global topic counts.  ``row_prior_current`` is the
-    prior term already gathered at the current assignments;
-    ``prior_proposed_of`` maps a proposed-topic matrix to its prior term (a
-    constant β for the word phase, ``α[topic]`` for the document phase).
+    ``C`` the phase-frozen global topic counts.  The prior term is
+    ``prior[topic]`` (α, document phase) or the constant ``prior_scalar``
+    when ``prior`` is ``None`` (β, word phase).  ``uniforms`` holds the
+    pre-drawn ``(M, R, L)`` acceptance uniforms.
 
     ``chain_stats`` (telemetry only, ``None`` by default) is a mutable
     ``{"proposed": int, "accepted": int}`` accumulator for MH acceptance
@@ -122,11 +167,11 @@ def _run_chain(
     runs stay bit-identical.
     """
     rows = np.arange(current.shape[0])[:, None]
-    uniforms = rng.random((num_mh_steps,) + current.shape)
+    row_prior_current = prior_scalar if prior is None else prior[current]
     valid = int(np.count_nonzero(mask)) if chain_stats is not None else 0
-    for step in range(num_mh_steps):
+    for step in range(uniforms.shape[0]):
         proposed = proposals[step][tokens]
-        prior_proposed = prior_proposed_of(proposed)
+        prior_proposed = prior_scalar if prior is None else prior[proposed]
         ratio = (
             (row_counts[rows, proposed] + prior_proposed)
             * (stale_topic_counts[current] + beta_sum)
@@ -139,12 +184,111 @@ def _run_chain(
             chain_stats["proposed"] += valid
             chain_stats["accepted"] += int(np.count_nonzero(accept))
         current = np.where(accept, proposed, current)
-        if not np.isscalar(row_prior_current):
+        if prior is not None:
             row_prior_current = np.where(accept, prior_proposed, row_prior_current)
     return current
 
 
+def _chain(
+    lib,
+    assignments: np.ndarray,
+    proposals: np.ndarray,
+    chunk: SlabBucket,
+    num_topics: int,
+    prior: Optional[np.ndarray],
+    prior_scalar: float,
+    stale_topic_counts: np.ndarray,
+    beta_sum: float,
+    uniforms: np.ndarray,
+    external_word_topic: Optional[np.ndarray],
+    chain_stats: Optional[dict],
+) -> np.ndarray:
+    """Run one chunk's MH chain and return its final ``(R, L)`` topics.
+
+    Rebuilds each row's delayed counts from ``assignments`` (plus the
+    row's ``external_word_topic`` counts when given), runs
+    :func:`_run_chain`'s accept/reject on the pre-drawn ``uniforms`` and
+    scatters the accepted topics back into ``assignments`` in place;
+    ``chain_stats``, when given, accumulates the proposed/accepted counts.
+    ``lib`` is the compiled library (:func:`_compiled`) or ``None`` for the
+    NumPy body; both produce the same bits.
+    """
+    tokens, mask = chunk.tokens, chunk.mask
+    if lib is None:
+        current = assignments[tokens]
+        row_counts = _row_counts(current, mask, num_topics)
+        if external_word_topic is not None:
+            row_counts += external_word_topic[chunk.rows]
+        current = _run_chain(
+            current, proposals, tokens, mask, row_counts, prior, prior_scalar,
+            stale_topic_counts, beta_sum, uniforms, chain_stats,
+        )
+        assignments[tokens[mask]] = current[mask]
+        return current
+
+    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    mask = np.ascontiguousarray(mask, dtype=np.bool_)
+    rows = np.ascontiguousarray(chunk.rows, dtype=np.int64)
+    stale = np.ascontiguousarray(stale_topic_counts, dtype=np.float64)
+    if prior is not None:
+        prior = np.ascontiguousarray(prior, dtype=np.float64)
+    current = np.empty(tokens.shape, dtype=np.int64)
+    accepted = lib.warp_chain(
+        tokens.shape[0], tokens.shape[1], num_topics, uniforms.shape[0],
+        proposals.shape[1], tokens.ctypes.data, mask.ctypes.data,
+        rows.ctypes.data, _address(external_word_topic), _address(prior),
+        prior_scalar, stale.ctypes.data, beta_sum, uniforms.ctypes.data,
+        proposals.ctypes.data, assignments.ctypes.data, current.ctypes.data,
+    )
+    if accepted == -1:
+        raise MemoryError("warp_chain could not allocate its count scratch")
+    if accepted == -2:
+        raise ValueError(f"a topic id lies outside [0, {num_topics})")
+    if chain_stats is not None:
+        chain_stats["proposed"] += uniforms.shape[0] * int(np.count_nonzero(mask))
+        chain_stats["accepted"] += accepted
+    return current
+
+
+def _address(array: Optional[np.ndarray]) -> Optional[int]:
+    return None if array is None else array.ctypes.data
+
+
+def _mixture_step(
+    lib,
+    proposals_step: np.ndarray,
+    chunk: SlabBucket,
+    current: np.ndarray,
+    weight: np.ndarray,
+    coin: np.ndarray,
+    positions: np.ndarray,
+    prior_topics: np.ndarray,
+) -> None:
+    """Write one step of a chunk's random-positioning proposals (Sec. 4.3).
+
+    A real cell proposes its row's topic at ``positions`` when its ``coin``
+    falls below the row's count ``weight``, else its ``prior_topics`` draw;
+    ``proposals_step`` (one step's row of the proposal buffer) is written
+    in place at the chunk's tokens.
+    """
+    tokens, mask = chunk.tokens, chunk.mask
+    if lib is None:
+        positioned = np.take_along_axis(current, positions, axis=1)
+        drawn = np.where(coin < weight[:, None], positioned, prior_topics)
+        proposals_step[tokens[mask]] = drawn[mask]
+        return
+    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    mask = np.ascontiguousarray(mask, dtype=np.bool_)
+    lib.warp_mixture(
+        tokens.shape[0], tokens.shape[1], tokens.ctypes.data, mask.ctypes.data,
+        current.ctypes.data, weight.ctypes.data, coin.ctypes.data,
+        positions.ctypes.data, prior_topics.ctypes.data,
+        proposals_step.ctypes.data,
+    )
+
+
 def _word_chunk(
+    lib,
     assignments: np.ndarray,
     proposals: np.ndarray,
     chunk: SlabBucket,
@@ -162,34 +306,20 @@ def _word_chunk(
 
     Mutates ``assignments`` (this chunk's tokens only — chunks are disjoint)
     and ``proposals`` (the same token columns) in place; every random draw
-    comes from the task-local ``rng``.
+    comes from the task-local ``rng``, in the same order for both tiers.
     """
-    tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
-    current = assignments[tokens]
-    word_counts = _row_counts(current, mask, num_topics)
-    if external_word_topic is not None:
-        word_counts += external_word_topic[chunk.rows]
-
-    current = _run_chain(
-        current,
-        proposals,
-        tokens,
-        mask,
-        word_counts,
-        beta,
-        stale_topic_counts,
-        beta_sum,
-        num_mh_steps,
-        rng,
-        prior_proposed_of=lambda proposed: beta,
-        chain_stats=chain_stats,
+    mask, lengths = chunk.mask, chunk.lengths
+    shape = chunk.tokens.shape
+    uniforms = rng.random((num_mh_steps,) + shape)
+    current = _chain(
+        lib, assignments, proposals, chunk, num_topics, None, beta,
+        stale_topic_counts, beta_sum, uniforms, external_word_topic, chain_stats,
     )
-    assignments[tokens[mask]] = current[mask]
 
     # Fresh c_w for the proposal distribution (Alg. 2 recomputes it
     # after the chain, before drawing q_word).
-    flat_tokens = tokens[mask]
     if exact:
+        flat_tokens = chunk.tokens[mask]
         fresh = _row_counts(current, mask, num_topics)
         if external_word_topic is not None:
             fresh += external_word_topic[chunk.rows]
@@ -201,14 +331,15 @@ def _word_chunk(
             block = drawn[:, step * slab_len : (step + 1) * slab_len]
             proposals[step, flat_tokens] = block[mask]
     else:
-        word_weight = (lengths / (lengths + num_topics * beta))[:, None]
+        word_weight = lengths / (lengths + num_topics * beta)
         for step in range(num_mh_steps):
-            use_counts = rng.random(current.shape) < word_weight
-            positions = rng.integers(0, lengths[:, None], size=current.shape)
-            positioned = np.take_along_axis(current, positions, axis=1)
-            uniform = rng.integers(num_topics, size=current.shape)
-            drawn = np.where(use_counts, positioned, uniform)
-            proposals[step, flat_tokens] = drawn[mask]
+            coin = rng.random(shape)
+            positions = rng.integers(0, lengths[:, None], size=shape)
+            uniform = rng.integers(num_topics, size=shape)
+            _mixture_step(
+                lib, proposals[step], chunk, current, word_weight, coin,
+                positions, uniform,
+            )
 
 
 def word_phase(
@@ -247,11 +378,16 @@ def word_phase(
     chunks = _phase_chunks(buckets, num_topics, max_cells)
     if not chunks:
         return
+    lib = _compiled(
+        assignments, proposals, num_topics, (stale_topic_counts,),
+        external_word_topic,
+    )
     task_rngs = pool.spawn_task_rngs(rng, len(chunks))
     per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
     tasks = [
         partial(
             _word_chunk,
+            lib,
             assignments,
             proposals,
             chunk,
@@ -272,6 +408,7 @@ def word_phase(
 
 
 def _document_chunk(
+    lib,
     assignments: np.ndarray,
     proposals: np.ndarray,
     chunk: SlabBucket,
@@ -289,40 +426,27 @@ def _document_chunk(
 
     Mutates ``assignments`` (this chunk's tokens only — chunks are disjoint)
     and ``proposals`` (the same token columns) in place; every random draw
-    comes from the task-local ``rng``.
+    comes from the task-local ``rng``, in the same order for both tiers.
     """
-    tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
-    current = assignments[tokens]
-    doc_counts = _row_counts(current, mask, num_topics)
-
-    current = _run_chain(
-        current,
-        proposals,
-        tokens,
-        mask,
-        doc_counts,
-        alpha[current],
-        stale_topic_counts,
-        beta_sum,
-        num_mh_steps,
-        rng,
-        prior_proposed_of=lambda proposed: alpha[proposed],
-        chain_stats=chain_stats,
+    lengths = chunk.lengths
+    shape = chunk.tokens.shape
+    uniforms = rng.random((num_mh_steps,) + shape)
+    current = _chain(
+        lib, assignments, proposals, chunk, num_topics, alpha, 0.0,
+        stale_topic_counts, beta_sum, uniforms, None, chain_stats,
     )
-    assignments[tokens[mask]] = current[mask]
 
-    flat_tokens = tokens[mask]
-    doc_weight = (lengths / (lengths + alpha_sum))[:, None]
+    doc_weight = lengths / (lengths + alpha_sum)
     for step in range(num_mh_steps):
-        use_counts = rng.random(current.shape) < doc_weight
-        positions = rng.integers(0, lengths[:, None], size=current.shape)
-        positioned = np.take_along_axis(current, positions, axis=1)
+        coin = rng.random(shape)
+        positions = rng.integers(0, lengths[:, None], size=shape)
         if alpha_alias is None:
-            prior = rng.integers(num_topics, size=current.shape)
+            prior = rng.integers(num_topics, size=shape)
         else:
-            prior = alpha_alias.draw_many(current.size, rng).reshape(current.shape)
-        drawn = np.where(use_counts, positioned, prior)
-        proposals[step, flat_tokens] = drawn[mask]
+            prior = alpha_alias.draw_many(coin.size, rng).reshape(shape)
+        _mixture_step(
+            lib, proposals[step], chunk, current, doc_weight, coin, positions, prior
+        )
 
 
 def document_phase(
@@ -355,11 +479,15 @@ def document_phase(
     chunks = _phase_chunks(buckets, num_topics, max_cells)
     if not chunks:
         return
+    lib = _compiled(
+        assignments, proposals, num_topics, (stale_topic_counts, alpha)
+    )
     task_rngs = pool.spawn_task_rngs(rng, len(chunks))
     per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
     tasks = [
         partial(
             _document_chunk,
+            lib,
             assignments,
             proposals,
             chunk,
